@@ -20,11 +20,12 @@ package tuffy
 // cache empty.
 
 import (
-	"hash/crc32"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"time"
 
+	"tuffy/internal/codec"
 	"tuffy/internal/mln"
 )
 
@@ -48,51 +49,31 @@ func (s *Server) CheckpointCache() error {
 		return err
 	}
 	eng := s.backends[0].eng
-	predIdx := make(map[*mln.Predicate]int32, len(eng.prog.Preds))
-	for i, p := range eng.prog.Preds {
-		predIdx[p] = int32(i)
-	}
-	w := &enc{}
-	w.b = append(w.b, cacheMagic...)
-	w.u32(cacheVersion)
-	w.u64(fingerprintProgram(eng.prog, eng.cfg))
-	nOff := len(w.b)
-	w.u32(0) // entry count, patched below
+	predIdx := mln.PredIndex(eng.prog)
+	w := &codec.Enc{}
+	w.B = append(w.B, cacheMagic...)
+	w.U32(cacheVersion)
+	w.U64(fingerprintProgram(eng.prog, eng.cfg))
+	nOff := len(w.B)
+	w.U32(0) // entry count, patched below
 	n := uint32(0)
 	s.cache.ForEach(func(key string, v any) {
 		switch r := v.(type) {
 		case *MAPResult:
-			w.str(key)
-			w.u8(cacheKindMAP)
+			w.Str(key)
+			w.U8(cacheKindMAP)
 			encodeMAPResult(w, predIdx, r)
 			n++
 		case *MarginalResult:
-			w.str(key)
-			w.u8(cacheKindMarginal)
+			w.Str(key)
+			w.U8(cacheKindMarginal)
 			encodeMarginalResult(w, predIdx, r)
 			n++
 		}
 	})
-	w.b[nOff] = byte(n)
-	w.b[nOff+1] = byte(n >> 8)
-	w.b[nOff+2] = byte(n >> 16)
-	w.b[nOff+3] = byte(n >> 24)
-	w.u32(crc32.Checksum(w.b, snapCRCTable))
-
-	path := filepath.Join(s.cfg.DataDir, cacheFile)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, w.b, 0o644); err != nil {
-		return err
-	}
-	if err := fsyncFile(tmp); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(s.cfg.DataDir)
+	binary.LittleEndian.PutUint32(w.B[nOff:], n)
+	w.U32(codec.Checksum(w.B))
+	return codec.WriteFileAtomic(filepath.Join(s.cfg.DataDir, cacheFile), w.B, nil)
 }
 
 // loadCache refills the cache from DataDir/cache.tfy. Any defect —
@@ -108,34 +89,34 @@ func (s *Server) loadCache() {
 		return
 	}
 	body, tail := buf[:len(buf)-4], buf[len(buf)-4:]
-	if crc32.Checksum(body, snapCRCTable) != uint32(tail[0])|uint32(tail[1])<<8|uint32(tail[2])<<16|uint32(tail[3])<<24 {
+	if codec.Checksum(body) != binary.LittleEndian.Uint32(tail) {
 		return
 	}
 	eng := s.backends[0].eng
-	d := &dec{b: body, off: len(cacheMagic)}
-	if d.u32() != cacheVersion {
+	d := &codec.Dec{B: body, Off: len(cacheMagic)}
+	if d.U32() != cacheVersion {
 		return
 	}
-	if d.u64() != fingerprintProgram(eng.prog, eng.cfg) {
+	if d.U64() != fingerprintProgram(eng.prog, eng.cfg) {
 		return
 	}
-	n := int(d.u32())
+	n := int(d.U32())
 	for i := 0; i < n; i++ {
-		key := d.str()
-		kind := d.u8()
-		if d.err != nil {
+		key := d.Str()
+		kind := d.U8()
+		if d.Err != nil {
 			return
 		}
 		switch kind {
 		case cacheKindMAP:
 			r := decodeMAPResult(d, eng.prog)
-			if d.err != nil {
+			if d.Err != nil {
 				return
 			}
 			s.cache.Put(key, r)
 		case cacheKindMarginal:
 			r := decodeMarginalResult(d, eng.prog)
-			if d.err != nil {
+			if d.Err != nil {
 				return
 			}
 			s.cache.Put(key, r)
@@ -145,78 +126,75 @@ func (s *Server) loadCache() {
 	}
 }
 
-func encodeAtom(w *enc, predIdx map[*mln.Predicate]int32, a mln.GroundAtom) {
-	w.u32(uint32(predIdx[a.Pred]))
+func encodeAtom(w *codec.Enc, predIdx map[*mln.Predicate]int32, a mln.GroundAtom) {
+	w.U32(uint32(predIdx[a.Pred]))
 	for _, arg := range a.Args {
-		w.u32(uint32(arg))
+		w.U32(uint32(arg))
 	}
 }
 
-func decodeAtom(d *dec, prog *mln.Program) mln.GroundAtom {
-	pi := int(d.u32())
-	if d.err != nil || pi < 0 || pi >= len(prog.Preds) {
-		d.err = errShortBuffer
+func decodeAtom(d *codec.Dec, prog *mln.Program) mln.GroundAtom {
+	pi := int(d.U32())
+	if d.Err == nil && (pi < 0 || pi >= len(prog.Preds)) {
+		d.Fail("atom references predicate %d of %d", pi, len(prog.Preds))
+	}
+	if d.Err != nil {
 		return mln.GroundAtom{}
 	}
 	pred := prog.Preds[pi]
 	args := make([]int32, pred.Arity())
 	for k := range args {
-		args[k] = int32(d.u32())
+		args[k] = int32(d.U32())
 	}
 	return mln.GroundAtom{Pred: pred, Args: args}
 }
 
-func encodeMAPResult(w *enc, predIdx map[*mln.Predicate]int32, r *MAPResult) {
-	w.u64(r.Epoch)
-	w.f64(r.Cost)
-	w.u64(uint64(r.Flips))
-	w.u64(uint64(r.GroundTime))
-	w.u64(uint64(r.SearchTime))
-	w.u32(uint32(r.Partitions))
-	w.u32(uint32(r.CutClauses))
-	w.u32(uint32(r.InDBComponents))
-	w.u32(uint32(len(r.TrueAtoms)))
+func encodeMAPResult(w *codec.Enc, predIdx map[*mln.Predicate]int32, r *MAPResult) {
+	w.U64(r.Epoch)
+	w.F64(r.Cost)
+	w.U64(uint64(r.Flips))
+	w.U64(uint64(r.GroundTime))
+	w.U64(uint64(r.SearchTime))
+	w.U32(uint32(r.Partitions))
+	w.U32(uint32(r.CutClauses))
+	w.U32(uint32(r.InDBComponents))
+	w.U32(uint32(len(r.TrueAtoms)))
 	for _, a := range r.TrueAtoms {
 		encodeAtom(w, predIdx, a)
 	}
-	w.u32(uint32(len(r.State)))
+	w.U32(uint32(len(r.State)))
 	packed := make([]byte, (len(r.State)+7)/8)
 	for i, v := range r.State {
 		if v {
 			packed[i/8] |= 1 << (i % 8)
 		}
 	}
-	w.b = append(w.b, packed...)
+	w.B = append(w.B, packed...)
 }
 
-func decodeMAPResult(d *dec, prog *mln.Program) *MAPResult {
+func decodeMAPResult(d *codec.Dec, prog *mln.Program) *MAPResult {
 	r := &MAPResult{}
-	r.Epoch = d.u64()
-	r.Cost = d.f64()
-	r.Flips = int64(d.u64())
-	r.GroundTime = time.Duration(d.u64())
-	r.SearchTime = time.Duration(d.u64())
-	r.Partitions = int(d.u32())
-	r.CutClauses = int(d.u32())
-	r.InDBComponents = int(d.u32())
-	na := int(d.u32())
-	if d.err != nil || na < 0 || na > len(d.b) {
-		d.err = errShortBuffer
-		return nil
-	}
+	r.Epoch = d.U64()
+	r.Cost = d.F64()
+	r.Flips = int64(d.U64())
+	r.GroundTime = time.Duration(d.U64())
+	r.SearchTime = time.Duration(d.U64())
+	r.Partitions = int(d.U32())
+	r.CutClauses = int(d.U32())
+	r.InDBComponents = int(d.U32())
+	na := d.Count(4) // an atom takes at least its predicate index
 	r.TrueAtoms = make([]mln.GroundAtom, 0, na)
 	for i := 0; i < na; i++ {
 		r.TrueAtoms = append(r.TrueAtoms, decodeAtom(d, prog))
-		if d.err != nil {
+		if d.Err != nil {
 			return nil
 		}
 	}
-	ns := int(d.u32())
-	if d.err != nil || ns < 0 || (ns+7)/8 > len(d.b)-d.off {
-		d.err = errShortBuffer
+	ns := int(d.U32())
+	packed := d.Take((ns + 7) / 8)
+	if d.Err != nil {
 		return nil
 	}
-	packed := d.take((ns + 7) / 8)
 	r.State = make([]bool, ns)
 	for i := range r.State {
 		r.State[i] = packed[i/8]&(1<<(i%8)) != 0
@@ -224,28 +202,24 @@ func decodeMAPResult(d *dec, prog *mln.Program) *MAPResult {
 	return r
 }
 
-func encodeMarginalResult(w *enc, predIdx map[*mln.Predicate]int32, r *MarginalResult) {
-	w.u64(r.Epoch)
-	w.u32(uint32(len(r.Probs)))
+func encodeMarginalResult(w *codec.Enc, predIdx map[*mln.Predicate]int32, r *MarginalResult) {
+	w.U64(r.Epoch)
+	w.U32(uint32(len(r.Probs)))
 	for _, p := range r.Probs {
 		encodeAtom(w, predIdx, p.Atom)
-		w.f64(p.P)
+		w.F64(p.P)
 	}
 }
 
-func decodeMarginalResult(d *dec, prog *mln.Program) *MarginalResult {
+func decodeMarginalResult(d *codec.Dec, prog *mln.Program) *MarginalResult {
 	r := &MarginalResult{}
-	r.Epoch = d.u64()
-	np := int(d.u32())
-	if d.err != nil || np < 0 || np > len(d.b) {
-		d.err = errShortBuffer
-		return nil
-	}
+	r.Epoch = d.U64()
+	np := d.Count(12) // predicate index + probability
 	r.Probs = make([]AtomProb, 0, np)
 	for i := 0; i < np; i++ {
 		a := decodeAtom(d, prog)
-		p := d.f64()
-		if d.err != nil {
+		p := d.F64()
+		if d.Err != nil {
 			return nil
 		}
 		r.Probs = append(r.Probs, AtomProb{Atom: a, P: p})

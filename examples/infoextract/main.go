@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
@@ -20,13 +21,18 @@ func main() {
 	ds := datagen.IE(datagen.IEConfig{Chains: 1200, Seed: 5})
 	fmt.Printf("IE dataset: %d evidence tuples\n", ds.Ev.Total())
 
+	// Each run gets its own engine: a shared one would answer the second
+	// run from the component memo the first one filled.
 	run := func(threads int) (float64, time.Duration, int) {
-		sys := tuffy.New(ds.Prog, ds.Ev, tuffy.Config{
+		eng, err := tuffy.Open(ds.Prog, ds.Ev, tuffy.EngineConfig{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := eng.InferMAP(context.Background(), tuffy.InferOptions{
 			MaxFlips:    300_000,
 			Seed:        5,
 			Parallelism: threads,
 		})
-		res, err := sys.InferMAP()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,41 +1,33 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
 
 // FileDisk is a file-backed Disk: each file id maps to one segment file
-// (seg_<id>) of page-aligned 8 KB pages, read and written in place. Like
+// (seg_<id>) of page-aligned 8 KB pages, read and written in place, so
+// tables can outgrow RAM without putting their pages on the heap. Like
 // MemDisk, TruncateFile keeps the segment's storage as free capacity — the
 // live-page count drops to zero while the file keeps its high-water-mark
 // size — and AllocatePage reuses that capacity before growing the file.
-// The free list (the live count per segment, everything beyond it being
-// free) is persisted in a small CRC-guarded meta file on Sync and on every
-// TruncateFile, so a reopened disk resumes with the same allocation state.
 //
-// Durability contract: WritePage reaches the OS immediately but is only
-// made durable by Sync, which fsyncs every dirty segment plus the meta
-// file. Callers who need write-ahead guarantees layer wal.LoggedDisk on
-// top, which logs full page images before they are written here.
+// FileDisk is a spill store, not a store of record: nothing is fsynced,
+// and OpenFileDisk starts blank. The engine's durable state is its
+// snapshot plus the delta log, from which the tables are rebuilt
+// logically on open.
 type FileDisk struct {
 	dir string
 
-	mu    sync.Mutex
-	segs  map[int32]*segment
-	dirty map[int32]bool // segments written since the last Sync
+	mu   sync.Mutex
+	segs map[int32]*segment
 
 	reads  atomic.Int64
 	writes atomic.Int64
-	syncs  atomic.Int64
 }
 
 type segment struct {
@@ -44,125 +36,16 @@ type segment struct {
 	cap  int32 // pages physically present (>= live; the tail is the free list)
 }
 
-const (
-	fdiskMetaMagic = "TFYDISK1"
-	segPrefix      = "seg_"
-)
-
-// OpenFileDisk opens (creating if needed) a page store rooted at dir. Any
-// existing segment files are attached; their live-page counts come from the
-// meta file when present and intact, otherwise from the segment size.
+// OpenFileDisk creates a blank page store in dir. The store owns the
+// directory: whatever an earlier run left there is deleted.
 func OpenFileDisk(dir string) (*FileDisk, error) {
+	if err := os.RemoveAll(dir); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	d := &FileDisk{dir: dir, segs: make(map[int32]*segment), dirty: make(map[int32]bool)}
-	live, _ := readDiskMeta(filepath.Join(dir, "meta")) // corrupt/missing meta: sizes rule
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, ent := range ents {
-		name := ent.Name()
-		if !strings.HasPrefix(name, segPrefix) {
-			continue
-		}
-		id64, err := strconv.ParseInt(strings.TrimPrefix(name, segPrefix), 10, 32)
-		if err != nil {
-			continue
-		}
-		f, err := os.OpenFile(filepath.Join(dir, name), os.O_RDWR, 0o644)
-		if err != nil {
-			d.closeLocked()
-			return nil, err
-		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			d.closeLocked()
-			return nil, err
-		}
-		seg := &segment{f: f, cap: int32(st.Size() / PageSize)}
-		seg.live = seg.cap
-		if n, ok := live[int32(id64)]; ok && n <= seg.cap {
-			seg.live = n
-		}
-		d.segs[int32(id64)] = seg
-	}
-	return d, nil
-}
-
-// readDiskMeta parses the free-list meta file: magic, count, (file, live)
-// pairs, crc32c trailer. A missing or corrupt file yields an empty map.
-func readDiskMeta(path string) (map[int32]int32, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) < len(fdiskMetaMagic)+8 || string(raw[:len(fdiskMetaMagic)]) != fdiskMetaMagic {
-		return nil, fmt.Errorf("storage: bad meta header")
-	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("storage: meta crc mismatch")
-	}
-	body = body[len(fdiskMetaMagic):]
-	n := binary.LittleEndian.Uint32(body)
-	body = body[4:]
-	if len(body) != int(n)*8 {
-		return nil, fmt.Errorf("storage: meta length mismatch")
-	}
-	out := make(map[int32]int32, n)
-	for i := 0; i < int(n); i++ {
-		file := int32(binary.LittleEndian.Uint32(body[i*8:]))
-		out[file] = int32(binary.LittleEndian.Uint32(body[i*8+4:]))
-	}
-	return out, nil
-}
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// writeMetaLocked persists the live-page counts atomically (tmp + rename).
-func (d *FileDisk) writeMetaLocked() error {
-	ids := make([]int32, 0, len(d.segs))
-	for id := range d.segs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf := make([]byte, 0, len(fdiskMetaMagic)+4+len(ids)*8+4)
-	buf = append(buf, fdiskMetaMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
-	for _, id := range ids {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(d.segs[id].live))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
-	tmp := filepath.Join(d.dir, "meta.tmp")
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(d.dir, "meta")); err != nil {
-		return err
-	}
-	return syncDir(d.dir)
-}
-
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
-}
-
-func (d *FileDisk) seg(file int32) *segment {
-	s, ok := d.segs[file]
-	if !ok {
-		s = &segment{}
-		d.segs[file] = s
-	}
-	return s
+	return &FileDisk{dir: dir, segs: make(map[int32]*segment)}, nil
 }
 
 // ReadPage implements Disk.
@@ -190,23 +73,24 @@ func (d *FileDisk) WritePage(id PageID, buf []byte) error {
 		return fmt.Errorf("storage: write of unallocated page %s", id)
 	}
 	f := s.f
-	d.dirty[id.File] = true
 	d.mu.Unlock()
 	_, err := f.WriteAt(buf[:PageSize], int64(id.Num)*PageSize)
 	return err
 }
 
-// openSegLocked makes sure the segment has a backing file.
-func (d *FileDisk) openSegLocked(file int32, s *segment) error {
-	if s.f != nil {
-		return nil
+// segLocked returns the file's segment, creating its backing file on
+// first use.
+func (d *FileDisk) segLocked(file int32) (*segment, error) {
+	if s, ok := d.segs[file]; ok {
+		return s, nil
 	}
-	f, err := os.OpenFile(filepath.Join(d.dir, segPrefix+strconv.Itoa(int(file))), os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(filepath.Join(d.dir, "seg_"+strconv.Itoa(int(file))), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.f = f
-	return nil
+	s := &segment{f: f}
+	d.segs[file] = s
+	return s, nil
 }
 
 // AllocatePage implements Disk: freed capacity (pages between live and cap)
@@ -214,8 +98,8 @@ func (d *FileDisk) openSegLocked(file int32, s *segment) error {
 func (d *FileDisk) AllocatePage(file int32) (PageID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s := d.seg(file)
-	if err := d.openSegLocked(file, s); err != nil {
+	s, err := d.segLocked(file)
+	if err != nil {
 		return PageID{}, err
 	}
 	id := PageID{File: file, Num: s.live}
@@ -231,33 +115,10 @@ func (d *FileDisk) AllocatePage(file int32) (PageID, error) {
 		s.cap++
 	}
 	s.live++
-	d.dirty[file] = true
 	return id, nil
 }
 
 var zeroPage [PageSize]byte
-
-// Ensure grows the file to hold at least n live pages (zero-filled), used
-// by WAL redo to re-extend segments before replaying page images.
-func (d *FileDisk) Ensure(file, n int32) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	s := d.seg(file)
-	if err := d.openSegLocked(file, s); err != nil {
-		return err
-	}
-	if n > s.cap {
-		if err := s.f.Truncate(int64(n) * PageSize); err != nil {
-			return err
-		}
-		s.cap = n
-	}
-	if n > s.live {
-		s.live = n
-		d.dirty[file] = true
-	}
-	return nil
-}
 
 // NumPages implements Disk.
 func (d *FileDisk) NumPages(file int32) int32 {
@@ -269,74 +130,27 @@ func (d *FileDisk) NumPages(file int32) int32 {
 	return 0
 }
 
-// TruncateFile implements Disk. The new (empty) live count is persisted
-// immediately so a reopened disk does not resurrect the truncated pages.
+// TruncateFile implements Disk.
 func (d *FileDisk) TruncateFile(file int32) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s, ok := d.segs[file]
-	if !ok || s.live == 0 {
-		return
+	if s, ok := d.segs[file]; ok {
+		s.live = 0
 	}
-	s.live = 0
-	_ = d.writeMetaLocked()
 }
-
-// Sync makes every write so far durable: dirty segments are fsynced and the
-// live-page meta is rewritten and fsynced.
-func (d *FileDisk) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.syncs.Add(1)
-	for id := range d.dirty {
-		if s, ok := d.segs[id]; ok && s.f != nil {
-			if err := s.f.Sync(); err != nil {
-				return err
-			}
-		}
-		delete(d.dirty, id)
-	}
-	return d.writeMetaLocked()
-}
-
-// Reset drops every page of every segment (sizes back to zero, free lists
-// cleared) while keeping the directory: the warm-start path rebuilds table
-// content logically and wants a blank page store without re-creating files.
-func (d *FileDisk) Reset() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, s := range d.segs {
-		if s.f != nil {
-			if err := s.f.Truncate(0); err != nil {
-				return err
-			}
-		}
-		s.live, s.cap = 0, 0
-	}
-	return d.writeMetaLocked()
-}
-
-// Syncs reports how many Sync calls have run (checkpoint accounting).
-func (d *FileDisk) Syncs() int64 { return d.syncs.Load() }
 
 // Stats implements Disk.
 func (d *FileDisk) Stats() DiskStats {
 	return DiskStats{Reads: d.reads.Load(), Writes: d.writes.Load()}
 }
 
-func (d *FileDisk) closeLocked() {
-	for _, s := range d.segs {
-		if s.f != nil {
-			s.f.Close()
-			s.f = nil
-		}
-	}
-}
-
-// Close releases the segment file handles (without syncing).
+// Close releases the segment file handles.
 func (d *FileDisk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.closeLocked()
+	for _, s := range d.segs {
+		s.f.Close()
+	}
+	d.segs = make(map[int32]*segment)
 	return nil
 }

@@ -15,6 +15,7 @@ func page(b byte) []byte {
 	return p
 }
 
+// Pages round-trip within one session; a reopened store starts blank.
 func TestFileDiskRoundTripAndReopen(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenFileDisk(dir)
@@ -32,8 +33,20 @@ func TestFileDiskRoundTripAndReopen(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
+	if got := d.NumPages(7); got != 3 {
+		t.Fatalf("NumPages = %d, want 3", got)
+	}
+	buf := make([]byte, PageSize)
+	for i, id := range ids {
+		if err := d.ReadPage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, page(byte('a'+i))) {
+			t.Fatalf("page %v corrupt", id)
+		}
+	}
+	if err := d.ReadPage(PageID{File: 7, Num: 3}, buf); err == nil {
+		t.Fatal("read past live pages succeeded")
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -44,37 +57,65 @@ func TestFileDiskRoundTripAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if got := d2.NumPages(7); got != 3 {
-		t.Fatalf("NumPages after reopen = %d, want 3", got)
+	if got := d2.NumPages(7); got != 0 {
+		t.Fatalf("NumPages after reopen = %d, want 0", got)
 	}
-	buf := make([]byte, PageSize)
-	for i, id := range ids {
-		if err := d2.ReadPage(id, buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, page(byte('a'+i))) {
-			t.Fatalf("page %v corrupt after reopen", id)
-		}
-	}
-	if err := d2.ReadPage(PageID{File: 7, Num: 3}, buf); err == nil {
-		t.Fatal("read past live pages succeeded")
+	if err := d2.ReadPage(ids[0], buf); err == nil {
+		t.Fatal("read of a previous session's page succeeded")
 	}
 }
 
-func TestFileDiskTruncatePersistsFreeList(t *testing.T) {
+// A directory holding an older page store's files (segments plus the
+// free-list meta file) must open blank and lose those files.
+func TestOpenFileDiskDiscardsStaleFiles(t *testing.T) {
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{
+		"seg_1": bytes.Repeat(page(0xee), 3),
+		"seg_4": page(0xdd),
+		"meta":  []byte("TFYDISK1\x00\x00\x00\x00\x00\x00\x00\x00"),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := OpenFileDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for _, f := range []int32{1, 4} {
+		if got := d.NumPages(f); got != 0 {
+			t.Fatalf("NumPages(%d) = %d over stale files, want 0", f, got)
+		}
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("stale files survived open: %v", ents)
+	}
+	id, err := d.AllocatePage(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, PageSize)
+	if err := d.ReadPage(id, buf); err != nil {
+		t.Fatal(err)
+	}
+	if id.Num != 0 || !bytes.Equal(buf, make([]byte, PageSize)) {
+		t.Fatalf("first page %v not a zeroed page 0", id)
+	}
+}
+
+func TestFileDiskTruncateReusesCapacity(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenFileDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Close()
 	for i := 0; i < 4; i++ {
 		id, _ := d.AllocatePage(1)
 		if err := d.WritePage(id, page(0xff)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
 	}
 	sizeAt := func() int64 {
 		st, err := os.Stat(filepath.Join(dir, "seg_1"))
@@ -84,29 +125,18 @@ func TestFileDiskTruncatePersistsFreeList(t *testing.T) {
 		return st.Size()
 	}
 	high := sizeAt()
-	d.TruncateFile(1) // persists live=0 immediately
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: the truncated file must come back empty (free list honored),
-	// not resurrected at its physical size.
-	d2, err := OpenFileDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if got := d2.NumPages(1); got != 0 {
-		t.Fatalf("NumPages after truncate+reopen = %d, want 0", got)
+	d.TruncateFile(1)
+	if got := d.NumPages(1); got != 0 {
+		t.Fatalf("NumPages after truncate = %d, want 0", got)
 	}
 	// Allocation reuses the freed capacity (file stays at high-water mark)
 	// and hands out zeroed pages despite the stale 0xff bytes.
-	id, err := d2.AllocatePage(1)
+	id, err := d.AllocatePage(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, PageSize)
-	if err := d2.ReadPage(id, buf); err != nil {
+	if err := d.ReadPage(id, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, make([]byte, PageSize)) {
@@ -117,49 +147,14 @@ func TestFileDiskTruncatePersistsFreeList(t *testing.T) {
 	}
 }
 
-func TestFileDiskEnsureAndReset(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenFileDisk(dir)
+// A buffer pool + heap file running over FileDisk must behave exactly like
+// the MemDisk stack.
+func TestFileDiskUnderBufferPool(t *testing.T) {
+	d, err := OpenFileDisk(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if err := d.Ensure(3, 5); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.NumPages(3); got != 5 {
-		t.Fatalf("NumPages after Ensure = %d, want 5", got)
-	}
-	id := PageID{File: 3, Num: 4}
-	if err := d.WritePage(id, page(9)); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, PageSize)
-	if err := d.ReadPage(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf[0] != 9 {
-		t.Fatal("ensured page did not round-trip")
-	}
-	if err := d.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.NumPages(3); got != 0 {
-		t.Fatalf("NumPages after Reset = %d, want 0", got)
-	}
-	if err := d.ReadPage(id, buf); err == nil {
-		t.Fatal("read after Reset succeeded")
-	}
-}
-
-// A buffer pool + heap file running over FileDisk must behave exactly like
-// the MemDisk stack.
-func TestFileDiskUnderBufferPool(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenFileDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bp := NewBufferPool(d, 2) // tiny pool forces eviction write-backs
 	h := NewHeapFile(bp, 1)
 	var rids []RecordID
@@ -170,27 +165,13 @@ func TestFileDiskUnderBufferPool(t *testing.T) {
 		}
 		rids = append(rids, rid)
 	}
-	if err := bp.FlushAll(); err != nil {
-		t.Fatal(err)
+	if st := d.Stats(); st.Writes == 0 {
+		t.Fatal("tiny pool wrote nothing back to disk")
 	}
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	d2, err := OpenFileDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	bp2 := NewBufferPool(d2, 8)
-	h2 := NewHeapFile(bp2, 1)
 	got := 0
-	if err := h2.Scan(func(rid RecordID, rec []byte) error {
+	if err := h.Scan(func(rid RecordID, rec []byte) error {
 		if len(rec) != 1000 || rec[0] != byte(got) {
-			t.Fatalf("record %d corrupt after reopen", got)
+			t.Fatalf("record %d corrupt after write-back", got)
 		}
 		got++
 		return nil
@@ -198,6 +179,6 @@ func TestFileDiskUnderBufferPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != len(rids) {
-		t.Fatalf("scanned %d records after reopen, want %d", got, len(rids))
+		t.Fatalf("scanned %d records, want %d", got, len(rids))
 	}
 }

@@ -1,8 +1,9 @@
 package mln
 
 import (
-	"encoding/binary"
 	"fmt"
+
+	"tuffy/internal/codec"
 )
 
 // EncodeDelta frames one evidence delta as a compact positional record:
@@ -12,15 +13,16 @@ import (
 // exact program (the fingerprint handshake of both layers enforces that).
 // predIdx maps each predicate to its index in the program's Preds slice.
 func EncodeDelta(predIdx map[*Predicate]int32, d Delta) []byte {
-	b := binary.LittleEndian.AppendUint32(nil, uint32(len(d.Ops)))
+	var e codec.Enc
+	e.U32(uint32(len(d.Ops)))
 	for _, op := range d.Ops {
-		b = binary.LittleEndian.AppendUint32(b, uint32(predIdx[op.Pred]))
-		b = append(b, byte(op.Truth))
+		e.U32(uint32(predIdx[op.Pred]))
+		e.U8(byte(op.Truth))
 		for _, a := range op.Args {
-			b = binary.LittleEndian.AppendUint32(b, uint32(a))
+			e.U32(uint32(a))
 		}
 	}
-	return b
+	return e.B
 }
 
 // PredIndex builds the predicate-to-index map EncodeDelta keys on.
@@ -35,47 +37,26 @@ func PredIndex(prog *Program) map[*Predicate]int32 {
 // DecodeDelta is EncodeDelta's inverse against the serving program.
 func DecodeDelta(prog *Program, payload []byte) (Delta, error) {
 	var d Delta
-	off := 0
-	u32 := func() (uint32, bool) {
-		if off+4 > len(payload) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(payload[off:])
-		off += 4
-		return v, true
-	}
-	n32, ok := u32()
-	if !ok {
-		return d, fmt.Errorf("delta record truncated: short buffer")
-	}
-	n := int(n32)
+	r := codec.Dec{B: payload}
+	n := r.Count(5) // an op takes at least its predicate index and truth
 	for i := 0; i < n; i++ {
-		pi32, ok := u32()
-		if !ok {
-			return d, fmt.Errorf("delta record truncated: short buffer")
-		}
-		pi := int(pi32)
-		if pi < 0 || pi >= len(prog.Preds) {
+		pi := int(r.U32())
+		if r.Err == nil && (pi < 0 || pi >= len(prog.Preds)) {
 			return d, fmt.Errorf("delta op %d references predicate %d of %d", i, pi, len(prog.Preds))
 		}
-		pred := prog.Preds[pi]
-		if off >= len(payload) {
-			return d, fmt.Errorf("delta record truncated: short buffer")
+		if r.Err != nil {
+			break
 		}
-		truth := Truth(payload[off])
-		off++
+		pred := prog.Preds[pi]
+		truth := Truth(r.U8())
 		args := make([]int32, pred.Arity())
 		for j := range args {
-			a, ok := u32()
-			if !ok {
-				return d, fmt.Errorf("delta record truncated: short buffer")
-			}
-			args[j] = int32(a)
+			args[j] = int32(r.U32())
 		}
 		d.Ops = append(d.Ops, DeltaOp{Pred: pred, Args: args, Truth: truth})
 	}
-	if off != len(payload) {
-		return d, fmt.Errorf("delta record has %d trailing bytes", len(payload)-off)
+	if err := r.Finish(); err != nil {
+		return d, fmt.Errorf("delta record: %w", err)
 	}
 	return d, nil
 }

@@ -1,41 +1,35 @@
-// Package wal implements the durability tier's append-only write-ahead
-// log: CRC32C-framed, LSN-stamped records with group-commit fsync
-// batching, redo-on-open that detects and truncates a torn tail, and
-// checkpoint-based truncation. Two record kinds flow through it — full
-// page images logged by LoggedDisk before buffer-pool write-back
-// (WAL-before-data), and engine-level evidence deltas that let a warm
-// start replay to the latest epoch.
+// Package wal implements the engine's append-only delta log: CRC32C-framed,
+// LSN-stamped records with group-commit fsync batching, an open-time scan
+// that detects and truncates a torn tail, and checkpoint-based truncation.
+// The records are engine-level evidence deltas; together with the engine's
+// atomic snapshot they are the whole durable state, and a warm start
+// replays the deltas committed after the snapshot to reach the latest
+// epoch.
 package wal
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sync"
 	"sync/atomic"
+
+	"tuffy/internal/codec"
 )
 
-// Record types.
-const (
-	// TypePage frames a full page image: file int32, num int32, PageSize
-	// bytes (appended by LoggedDisk before every write-back).
-	TypePage byte = 1
-	// TypeDelta frames an engine-level evidence delta (payload owned by
-	// the engine's persistence layer).
-	TypeDelta byte = 2
-)
+// TypeDelta frames an engine-level evidence delta (payload owned by the
+// engine's persistence layer). Type 1 was a page image in older logs;
+// readers skip every type they do not know.
+const TypeDelta byte = 2
 
 const (
 	logMagic   = "TFYWAL01"
 	headerSize = len(logMagic) + 8 + 4 // magic, startLSN, crc
 	frameHdr   = 4 + 4 + 8 + 1         // crc, payload len, lsn, type
 	// maxPayload bounds a frame so a corrupt length field cannot make the
-	// scanner allocate wild amounts (largest real payload is a page image).
+	// scanner allocate wild amounts.
 	maxPayload = 1 << 24
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Record is one decoded log frame.
 type Record struct {
@@ -119,10 +113,13 @@ func parseHeader(raw []byte) (startLSN uint64, ok bool) {
 		return 0, false
 	}
 	body := raw[:headerSize-4]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(raw[headerSize-4:]) {
+	if codec.Checksum(body) != binary.LittleEndian.Uint32(raw[headerSize-4:]) {
 		return 0, false
 	}
-	return binary.LittleEndian.Uint64(raw[len(logMagic):]), true
+	// LSNs start at 1: a zero start would make the empty log look synced
+	// through the maximum LSN, and no append would ever reach the file.
+	startLSN = binary.LittleEndian.Uint64(raw[len(logMagic):])
+	return startLSN, startLSN != 0
 }
 
 // scanFrames walks frames from off, returning the intact records and the
@@ -140,7 +137,7 @@ func scanFrames(raw []byte, off int, startLSN uint64) ([]Record, int) {
 		if plen > maxPayload || len(raw)-off < frameHdr+plen {
 			return out, off
 		}
-		if crc32.Checksum(h[4:frameHdr+plen], crcTable) != crc {
+		if codec.Checksum(h[4:frameHdr+plen]) != crc {
 			return out, off
 		}
 		lsn := binary.LittleEndian.Uint64(h[8:])
@@ -157,7 +154,7 @@ func (l *Log) writeHeader(startLSN uint64) error {
 	buf := make([]byte, 0, headerSize)
 	buf = append(buf, logMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, startLSN)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
+	buf = binary.LittleEndian.AppendUint32(buf, codec.Checksum(buf))
 	if err := l.f.Truncate(0); err != nil {
 		return err
 	}
@@ -189,7 +186,7 @@ func (l *Log) Append(typ byte, payload []byte) (uint64, error) {
 	at := len(l.buf)
 	l.buf = append(l.buf, hdr...)
 	l.buf = append(l.buf, payload...)
-	crc := crc32.Checksum(l.buf[at+4:], crcTable)
+	crc := codec.Checksum(l.buf[at+4:])
 	binary.LittleEndian.PutUint32(l.buf[at:], crc)
 	l.appended.Add(int64(frameHdr + len(payload)))
 	return lsn, nil
@@ -239,12 +236,18 @@ func (l *Log) SyncTo(lsn uint64) error {
 // the current position — the checkpoint step after the state the log
 // protected has been persisted elsewhere. Buffered unsynced records are
 // dropped too (they are covered by the same checkpoint).
-func (l *Log) Reset() error {
+func (l *Log) Reset() error { return l.ResetPast(0) }
+
+// ResetPast is Reset with the next LSN moved beyond lsn if it is not there
+// already. Recovery uses it when the log restarted below the last LSN a
+// snapshot covers, so new records can never be mistaken for covered ones.
+func (l *Log) ResetPast(lsn uint64) error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.buf = nil
+	l.nextLSN = max(l.nextLSN, lsn+1)
 	if err := l.writeHeader(l.nextLSN); err != nil {
 		return err
 	}

@@ -21,8 +21,9 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"tuffy/internal/codec"
 )
 
 // Version is the protocol version carried in the handshake; both sides
@@ -81,8 +82,6 @@ var (
 	ErrIdentityMismatch = errors.New("wire: program/evidence/config fingerprint mismatch")
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // AppendFrame appends one framed message to dst and returns the extended
 // slice. It fails only when the payload exceeds MaxFrame.
 func AppendFrame(dst []byte, typ byte, payload []byte) ([]byte, error) {
@@ -95,7 +94,7 @@ func AppendFrame(dst []byte, typ byte, payload []byte) ([]byte, error) {
 	hdr[2] = typ
 	hdr[3] = 0 // flags, reserved
 	le32(hdr[4:8], uint32(len(payload)))
-	le32(hdr[8:12], crc32.Checksum(payload, castagnoli))
+	le32(hdr[8:12], codec.Checksum(payload))
 	return append(append(dst, hdr[:]...), payload...), nil
 }
 
@@ -136,7 +135,7 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, fmt.Errorf("%w: payload: %v", ErrTruncated, err)
 	}
-	if crc32.Checksum(payload, castagnoli) != de32(hdr[8:12]) {
+	if codec.Checksum(payload) != de32(hdr[8:12]) {
 		return 0, nil, ErrChecksum
 	}
 	return typ, payload, nil

@@ -1,29 +1,27 @@
 package tuffy
 
 // This file is the Engine's durability layer, active when
-// EngineConfig.DataDir is set. It composes the two durable tiers:
+// EngineConfig.DataDir is set. The durable state is two files: an atomic
+// snapshot and the delta log.
 //
-//   - Physical: the embedded database runs over a page-aligned FileDisk
-//     wrapped in a wal.LoggedDisk, so every buffer-pool write-back logs the
-//     page image before the data write (WAL-before-data). That tier's crash
-//     story — redo of torn data pages — is internal/wal's.
+//   - Snapshot: after the first Ground, and at every checkpoint, the engine
+//     persists the grounded state (merged evidence, the atom registry in aid
+//     order, the per-clause raw groundings and stats, and the assembled
+//     network) plus fingerprints of the program and the base evidence it was
+//     built from. It is swapped in atomically, so a crash mid-write leaves
+//     the previous one.
 //
-//   - Logical: after the first Ground, and at every checkpoint, the engine
-//     persists a snapshot of the grounded state (merged evidence, the atom
-//     registry in aid order, the per-clause raw groundings and stats) plus
-//     fingerprints of the program and the base evidence it was built from.
-//     Every committed UpdateEvidence appends a TypeDelta WAL record and
-//     fsyncs it before the new epoch is published, so reopening the DataDir
-//     restores the snapshot and replays the deltas committed after it —
-//     landing, bit-identically, on the exact epoch a never-crashed engine
-//     would serve.
+//   - Delta log: every committed UpdateEvidence appends a TypeDelta WAL
+//     record and fsyncs it before the new epoch is published, so reopening
+//     the DataDir restores the snapshot and replays the deltas committed
+//     after it — landing, bit-identically, on the exact epoch a
+//     never-crashed engine would serve.
 //
-// Engine recovery rebuilds the predicate tables logically from the snapshot
-// registry (RestoreTables re-stages atoms in aid order, reproducing the
-// identical aid space), so it resets the page store rather than redoing page
-// images; the page WAL tier still runs underneath for write-back durability
-// within a process lifetime and is exercised end-to-end by the storage
-// crash matrix.
+// The embedded database runs over a FileDisk under DataDir/pages, which is
+// a spill store for tables larger than RAM, not a store of record: it opens
+// blank, and recovery rebuilds the predicate tables logically from the
+// snapshot registry (RestoreTables re-stages atoms in aid order,
+// reproducing the identical aid space).
 //
 // Commit ordering for one UpdateEvidence: apply the delta to the evidence
 // and predicate tables, append + fsync the TypeDelta record (the commit
@@ -37,7 +35,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"math"
@@ -46,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tuffy/internal/codec"
 	"tuffy/internal/db"
 	"tuffy/internal/db/storage"
 	"tuffy/internal/grounding"
@@ -139,7 +137,7 @@ func (d *durability) commitDelta(delta mln.Delta) error {
 	if err := d.at("delta.append"); err != nil {
 		return err
 	}
-	lsn, err := d.log.Append(wal.TypeDelta, encodeDelta(d.predIdx, delta))
+	lsn, err := d.log.Append(wal.TypeDelta, mln.EncodeDelta(d.predIdx, delta))
 	if err != nil {
 		return err
 	}
@@ -214,12 +212,6 @@ func (e *Engine) openDurable() error {
 		e.dur = nil
 		return err
 	}
-	// Table contents are rebuilt logically below (snapshot registry) or by
-	// the next Ground; either way the page store restarts blank, and the
-	// page-image records in the log are superseded.
-	if err := fdisk.Reset(); err != nil {
-		return fail(err)
-	}
 
 	d := &durability{
 		dir:      dir,
@@ -232,7 +224,7 @@ func (e *Engine) openDurable() error {
 	}
 	dcfg := e.cfg.DB
 	if dcfg.Disk == nil {
-		dcfg.Disk = wal.WrapDisk(fdisk, log)
+		dcfg.Disk = fdisk
 	}
 	e.db = db.Open(dcfg)
 	e.dur = d
@@ -253,6 +245,15 @@ func (e *Engine) openDurable() error {
 		return fail(fmt.Errorf("tuffy: DataDir %s holds state for different base evidence; use a fresh directory", dir))
 	}
 
+	if log.NextLSN() <= snap.walLSN {
+		// The log restarted below the snapshot (the file was lost or its
+		// header damaged). Move its LSNs past the snapshot's, or the next
+		// replay would skip the deltas committed from here on as covered.
+		if err := log.ResetPast(snap.walLSN); err != nil {
+			return fail(err)
+		}
+	}
+
 	// Merged evidence: the base evidence plus every committed delta up to
 	// the checkpoint. The caller's prog already carries the typed domains
 	// (its own evidence parse populated them — verified by the fingerprint).
@@ -268,13 +269,15 @@ func (e *Engine) openDurable() error {
 	// Deltas committed after the snapshot pick the recovery path: decode
 	// them up front so a damaged WAL record fails the open before anything
 	// is published. A crash between the snapshot rename and the WAL reset
-	// leaves older frames behind; the stored walLSN filters them out.
+	// leaves older frames behind; the stored walLSN filters them out. Frames
+	// of any other type (page images in logs written by older versions)
+	// carry nothing recovery needs and are skipped.
 	var replays []mln.Delta
 	for _, r := range recs {
 		if r.Type != wal.TypeDelta || r.LSN <= snap.walLSN {
 			continue
 		}
-		delta, err := decodeDelta(e.prog, r.Payload)
+		delta, err := mln.DecodeDelta(e.prog, r.Payload)
 		if err != nil {
 			return fail(fmt.Errorf("tuffy: decoding WAL delta at LSN %d: %w", r.LSN, err))
 		}
@@ -412,11 +415,10 @@ func (noCancel) Done() <-chan struct{}       { return nil }
 func (noCancel) Err() error                  { return nil }
 func (noCancel) Value(any) any               { return nil }
 
-// Checkpoint forces a durable checkpoint: flush the buffer pool, sync the
-// page store, write a fresh snapshot of the grounded state and truncate the
-// WAL. It returns an error for an engine without a DataDir. Checkpoints
-// also run automatically after Ground, every CheckpointEveryUpdates
-// committed updates, and on Close.
+// Checkpoint forces a durable checkpoint: write a fresh snapshot of the
+// grounded state and truncate the WAL. It returns an error for an engine
+// without a DataDir. Checkpoints also run automatically after Ground,
+// every CheckpointEveryUpdates committed updates, and on Close.
 func (e *Engine) Checkpoint() error {
 	e.groundMu.Lock()
 	defer e.groundMu.Unlock()
@@ -456,20 +458,12 @@ func (e *Engine) checkpointWith(gen uint64, hadPart, hadComps bool, res *groundi
 		// the current state.
 		return nil
 	}
+	// Nothing needs flushing first: the snapshot reads the tables through
+	// the buffer pool, and every delta frame was fsynced at its commit
+	// point. The snapshot is swapped in atomically and only then is the log
+	// truncated, so a crash between any two steps recovers from the previous
+	// snapshot plus the log. "ckpt.flush" stays the first crash point.
 	if err := d.at("ckpt.flush"); err != nil {
-		return err
-	}
-	// Page images reach the log before the data pages (WAL-before-data in
-	// LoggedDisk), the log is synced before the data files, and only then
-	// is the snapshot atomically swapped in and the log truncated. A crash
-	// between any two steps recovers from the previous snapshot.
-	if err := e.db.Pool().FlushAll(); err != nil {
-		return err
-	}
-	if err := d.log.Sync(); err != nil {
-		return err
-	}
-	if err := d.fdisk.Sync(); err != nil {
 		return err
 	}
 	if err := d.at("ckpt.snapshot"); err != nil {
@@ -591,9 +585,8 @@ type evRow struct {
 	truth mln.Truth
 }
 
-// writeSnapshot serializes the grounded state and swaps it in atomically
-// (tmp + fsync + rename + dir fsync), so a crash mid-write leaves the
-// previous snapshot intact.
+// writeSnapshot serializes the grounded state and swaps it in atomically,
+// so a crash mid-write leaves the previous snapshot intact.
 func (e *Engine) writeSnapshot(gen uint64, hadPart, hadComps bool, res *grounding.Result) error {
 	d := e.dur
 	atoms, err := e.tables.ExportAtoms()
@@ -602,17 +595,17 @@ func (e *Engine) writeSnapshot(gen uint64, hadPart, hadComps bool, res *groundin
 	}
 	raws, perStats := e.inc.ExportRaws()
 
-	var w enc
-	w.b = append(w.b, snapshotMagic...)
-	w.u32(snapshotVersion)
-	w.u64(d.progFP)
-	w.u64(d.baseEvFP)
-	w.u64(gen)
-	w.u64(e.updatesApplied.Load())
+	var w codec.Enc
+	w.B = append(w.B, snapshotMagic...)
+	w.U32(snapshotVersion)
+	w.U64(d.progFP)
+	w.U64(d.baseEvFP)
+	w.U64(gen)
+	w.U64(e.updatesApplied.Load())
 	// Everything with an LSN at or below this is inside the snapshot;
 	// replay after a crash skips those frames.
-	w.u64(d.log.NextLSN() - 1)
-	w.u64(uint64(e.groundTime))
+	w.U64(d.log.NextLSN() - 1)
+	w.U64(uint64(e.groundTime))
 	var flags byte
 	if hadPart {
 		flags |= 1
@@ -620,36 +613,36 @@ func (e *Engine) writeSnapshot(gen uint64, hadPart, hadComps bool, res *groundin
 	if hadComps {
 		flags |= 2
 	}
-	w.u8(flags)
+	w.U8(flags)
 
-	w.u32(uint32(len(e.prog.Preds)))
+	w.U32(uint32(len(e.prog.Preds)))
 	for _, pred := range e.prog.Preds {
-		w.u32(uint32(e.ev.Count(pred)))
+		w.U32(uint32(e.ev.Count(pred)))
 		e.ev.ForEach(pred, func(args []int32, t mln.Truth) {
 			for _, a := range args {
-				w.u32(uint32(a))
+				w.U32(uint32(a))
 			}
-			w.u8(byte(t))
+			w.U8(byte(t))
 		})
 	}
 
-	w.u32(uint32(len(atoms)))
+	w.U32(uint32(len(atoms)))
 	for _, a := range atoms {
-		w.u32(uint32(a.Pred))
+		w.U32(uint32(a.Pred))
 		for _, arg := range a.Args {
-			w.u32(uint32(arg))
+			w.U32(uint32(arg))
 		}
-		w.u8(byte(a.Truth))
+		w.U8(byte(a.Truth))
 	}
 
-	w.u32(uint32(len(raws)))
+	w.U32(uint32(len(raws)))
 	for _, rs := range raws {
-		w.u32(uint32(len(rs)))
+		w.U32(uint32(len(rs)))
 		for _, r := range rs {
-			w.f64(r.Weight)
-			w.u32(uint32(len(r.Lits)))
+			w.F64(r.Weight)
+			w.U32(uint32(len(r.Lits)))
 			for _, l := range r.Lits {
-				w.u64(l)
+				w.U64(l)
 			}
 		}
 	}
@@ -660,40 +653,29 @@ func (e *Engine) writeSnapshot(gen uint64, hadPart, hadComps bool, res *groundin
 	// The assembled network. Weights and the fixed cost are stored as exact
 	// float bits, so the published warm epoch is the bit-identical network
 	// the assembler produced — not a recomputation of it.
-	w.u32(uint32(res.MRF.NumAtoms))
+	w.U32(uint32(res.MRF.NumAtoms))
 	for id := 1; id <= res.MRF.NumAtoms; id++ {
-		w.u64(uint64(res.TableAid[id]))
+		w.U64(uint64(res.TableAid[id]))
 	}
-	w.f64(res.MRF.FixedCost)
-	w.u32(uint32(len(res.MRF.Clauses)))
+	w.F64(res.MRF.FixedCost)
+	w.U32(uint32(len(res.MRF.Clauses)))
 	for _, c := range res.MRF.Clauses {
-		w.f64(c.Weight)
-		w.u32(uint32(len(c.Lits)))
+		w.F64(c.Weight)
+		w.U32(uint32(len(c.Lits)))
 		for _, l := range c.Lits {
-			w.u32(uint32(l))
+			w.U32(uint32(l))
 		}
 	}
 	writeStats(&w, res.Stats)
-	w.u32(crc32.Checksum(w.b, snapCRCTable))
+	w.U32(codec.Checksum(w.B))
 
-	path := filepath.Join(d.dir, snapshotFile)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, w.b, 0o644); err != nil {
+	err = codec.WriteFileAtomic(filepath.Join(d.dir, snapshotFile), w.B, func() error {
+		return d.at("ckpt.rename")
+	})
+	if err != nil {
 		return err
 	}
-	if err := fsyncFile(tmp); err != nil {
-		return err
-	}
-	if err := d.at("ckpt.rename"); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if err := syncDir(d.dir); err != nil {
-		return err
-	}
-	d.snapshotBytes.Store(int64(len(w.b)))
+	d.snapshotBytes.Store(int64(len(w.B)))
 	return nil
 }
 
@@ -709,164 +691,142 @@ func readSnapshot(path string, prog *mln.Program) (*engineSnap, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeSnapshot(raw, prog)
+}
+
+// decodeSnapshot is readSnapshot over the file's bytes.
+func decodeSnapshot(raw []byte, prog *mln.Program) (*engineSnap, error) {
 	if len(raw) < len(snapshotMagic)+8 || string(raw[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, fmt.Errorf("not a snapshot file")
 	}
 	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	if crc32.Checksum(body, snapCRCTable) != binary.LittleEndian.Uint32(tail) {
+	if codec.Checksum(body) != binary.LittleEndian.Uint32(tail) {
 		return nil, fmt.Errorf("snapshot checksum mismatch")
 	}
-	r := dec{b: body, off: len(snapshotMagic)}
-	if v := r.u32(); r.err == nil && v != snapshotVersion {
+	r := codec.Dec{B: body, Off: len(snapshotMagic)}
+	if v := r.U32(); r.Err == nil && v != snapshotVersion {
 		return nil, fmt.Errorf("snapshot version %d, want %d", v, snapshotVersion)
 	}
 	s := &engineSnap{size: int64(len(raw))}
-	s.progFP = r.u64()
-	s.baseEvFP = r.u64()
-	s.gen = r.u64()
-	s.updates = r.u64()
-	s.walLSN = r.u64()
-	s.groundTime = time.Duration(r.u64())
-	flags := r.u8()
+	s.progFP = r.U64()
+	s.baseEvFP = r.U64()
+	s.gen = r.U64()
+	s.updates = r.U64()
+	s.walLSN = r.U64()
+	s.groundTime = time.Duration(r.U64())
+	flags := r.U8()
 	s.hadPart = flags&1 != 0
 	s.hadComps = flags&2 != 0
 
-	if n := int(r.u32()); r.err == nil && n != len(prog.Preds) {
+	if n := int(r.U32()); r.Err == nil && n != len(prog.Preds) {
 		return nil, fmt.Errorf("snapshot has %d predicates, program has %d", n, len(prog.Preds))
 	}
 	s.evidence = make([][]evRow, len(prog.Preds))
 	for pi, pred := range prog.Preds {
-		rows := make([]evRow, r.u32())
+		rows := make([]evRow, r.Count(4*pred.Arity()+1))
 		for i := range rows {
 			args := make([]int32, pred.Arity())
 			for j := range args {
-				args[j] = int32(r.u32())
+				args[j] = int32(r.U32())
 			}
-			rows[i] = evRow{args: args, truth: mln.Truth(r.u8())}
+			rows[i] = evRow{args: args, truth: mln.Truth(r.U8())}
 		}
 		s.evidence[pi] = rows
 	}
 
-	s.atoms = make([]grounding.SnapAtom, r.u32())
+	s.atoms = make([]grounding.SnapAtom, r.Count(5))
 	for i := range s.atoms {
-		pi := int32(r.u32())
-		if r.err == nil && (pi < 0 || int(pi) >= len(prog.Preds)) {
+		pi := int32(r.U32())
+		if r.Err == nil && (pi < 0 || int(pi) >= len(prog.Preds)) {
 			return nil, fmt.Errorf("snapshot atom %d references predicate %d of %d", i, pi, len(prog.Preds))
 		}
-		if r.err != nil {
+		if r.Err != nil {
 			break
 		}
 		args := make([]int32, prog.Preds[pi].Arity())
 		for j := range args {
-			args[j] = int32(r.u32())
+			args[j] = int32(r.U32())
 		}
-		s.atoms[i] = grounding.SnapAtom{Pred: pi, Args: args, Truth: int64(r.u8())}
+		s.atoms[i] = grounding.SnapAtom{Pred: pi, Args: args, Truth: int64(r.U8())}
 	}
 
-	if n := int(r.u32()); r.err == nil && n != len(prog.Clauses) {
+	if n := int(r.U32()); r.Err == nil && n != len(prog.Clauses) {
 		return nil, fmt.Errorf("snapshot has %d clause raw sets, program has %d clauses", n, len(prog.Clauses))
 	}
 	s.raws = make([][]grounding.SnapRaw, len(prog.Clauses))
 	for i := range s.raws {
-		rs := make([]grounding.SnapRaw, r.u32())
+		// Each raw grounding takes at least 12 bytes (weight + literal count).
+		rs := make([]grounding.SnapRaw, r.Count(12))
 		for j := range rs {
-			weight := r.f64()
-			lits := make([]uint64, r.u32())
+			weight := r.F64()
+			lits := make([]uint64, r.Count(8))
 			for k := range lits {
-				lits[k] = r.u64()
+				lits[k] = r.U64()
 			}
 			rs[j] = grounding.SnapRaw{Weight: weight, Lits: lits}
-			if r.err != nil {
-				break
-			}
 		}
 		s.raws[i] = rs
-		if r.err != nil {
-			break
-		}
 	}
 	s.perStats = make([]grounding.Stats, len(prog.Clauses))
 	for i := range s.perStats {
 		s.perStats[i] = readStats(&r)
 	}
 
-	s.numAtoms = int(r.u32())
-	if r.err == nil && (s.numAtoms < 0 || s.numAtoms > len(s.atoms)) {
+	s.numAtoms = int(r.U32())
+	if r.Err == nil && (s.numAtoms < 0 || s.numAtoms > len(s.atoms) || s.numAtoms*8 > r.Remaining()) {
 		return nil, fmt.Errorf("snapshot network has %d atoms, registry has %d", s.numAtoms, len(s.atoms))
 	}
-	if r.err == nil {
+	if r.Err == nil {
 		s.tableAid = make([]int64, s.numAtoms+1)
 		for id := 1; id <= s.numAtoms; id++ {
-			s.tableAid[id] = int64(r.u64())
+			s.tableAid[id] = int64(r.U64())
 		}
 	}
-	s.fixedCost = r.f64()
-	nc := int(r.u32())
+	s.fixedCost = r.F64()
 	// Each clause takes at least 12 bytes (weight + literal count).
-	if r.err == nil && (nc < 0 || nc*12 > len(body)-r.off) {
-		return nil, fmt.Errorf("snapshot network claims %d clauses", nc)
-	}
-	if r.err == nil {
-		s.clauses = make([]mrf.Clause, nc)
-		for i := range s.clauses {
-			weight := r.f64()
-			lits := make([]mrf.Lit, r.u32())
-			for k := range lits {
-				l := mrf.Lit(r.u32())
-				if r.err == nil && (l == 0 || l > mrf.Lit(s.numAtoms) || -l > mrf.Lit(s.numAtoms)) {
-					return nil, fmt.Errorf("snapshot clause %d references atom %d of %d", i, l, s.numAtoms)
-				}
-				lits[k] = l
+	s.clauses = make([]mrf.Clause, r.Count(12))
+	for i := range s.clauses {
+		weight := r.F64()
+		lits := make([]mrf.Lit, r.Count(4))
+		for k := range lits {
+			l := mrf.Lit(r.U32())
+			if r.Err == nil && (l == 0 || l > mrf.Lit(s.numAtoms) || -l > mrf.Lit(s.numAtoms)) {
+				return nil, fmt.Errorf("snapshot clause %d references atom %d of %d", i, l, s.numAtoms)
 			}
-			s.clauses[i] = mrf.Clause{Weight: weight, Lits: lits}
-			if r.err != nil {
-				break
-			}
+			lits[k] = l
 		}
+		s.clauses[i] = mrf.Clause{Weight: weight, Lits: lits}
 	}
 	s.resStats = readStats(&r)
-	if r.err != nil {
-		return nil, fmt.Errorf("snapshot truncated: %w", r.err)
+	if r.Err != nil {
+		return nil, fmt.Errorf("snapshot truncated: %w", r.Err)
 	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("snapshot has %d trailing bytes", len(body)-r.off)
+	if r.Off != len(body) {
+		return nil, fmt.Errorf("snapshot has %d trailing bytes", len(body)-r.Off)
 	}
 	return s, nil
 }
 
-func writeStats(w *enc, st grounding.Stats) {
-	w.u64(uint64(st.NumAtoms))
-	w.u64(uint64(st.NumUsedAtoms))
-	w.u64(uint64(st.NumGroundedRaw))
-	w.u64(uint64(st.NumClauses))
-	w.u64(uint64(st.FixedCostCount))
-	w.u64(uint64(st.JoinRowsVisited))
-	w.u64(uint64(st.PeakBytes))
+func writeStats(w *codec.Enc, st grounding.Stats) {
+	w.U64(uint64(st.NumAtoms))
+	w.U64(uint64(st.NumUsedAtoms))
+	w.U64(uint64(st.NumGroundedRaw))
+	w.U64(uint64(st.NumClauses))
+	w.U64(uint64(st.FixedCostCount))
+	w.U64(uint64(st.JoinRowsVisited))
+	w.U64(uint64(st.PeakBytes))
 }
 
-func readStats(r *dec) grounding.Stats {
+func readStats(r *codec.Dec) grounding.Stats {
 	return grounding.Stats{
-		NumAtoms:        int(r.u64()),
-		NumUsedAtoms:    int(r.u64()),
-		NumGroundedRaw:  int(r.u64()),
-		NumClauses:      int(r.u64()),
-		FixedCostCount:  int(r.u64()),
-		JoinRowsVisited: int64(r.u64()),
-		PeakBytes:       int64(r.u64()),
+		NumAtoms:        int(r.U64()),
+		NumUsedAtoms:    int(r.U64()),
+		NumGroundedRaw:  int(r.U64()),
+		NumClauses:      int(r.U64()),
+		FixedCostCount:  int(r.U64()),
+		JoinRowsVisited: int64(r.U64()),
+		PeakBytes:       int64(r.U64()),
 	}
-}
-
-// ---- delta record encoding ----
-
-// encodeDelta frames one evidence delta as a TypeDelta payload. The format
-// (mln.EncodeDelta) is shared with the distributed tier's update fan-out.
-func encodeDelta(predIdx map[*mln.Predicate]int32, d mln.Delta) []byte {
-	return mln.EncodeDelta(predIdx, d)
-}
-
-// decodeDelta is encodeDelta's inverse against the serving program.
-func decodeDelta(prog *mln.Program, payload []byte) (mln.Delta, error) {
-	return mln.DecodeDelta(prog, payload)
 }
 
 // ---- fingerprints ----
@@ -971,108 +931,4 @@ func fingerprintEvidence(prog *mln.Program, ev *mln.Evidence) uint64 {
 		}
 	}
 	return h.Sum64()
-}
-
-// ---- binary helpers ----
-
-var snapCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-type enc struct{ b []byte }
-
-func (e *enc) u8(v byte)     { e.b = append(e.b, v) }
-func (e *enc) u32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *enc) str(s string)  { e.u32(uint32(len(s))); e.b = append(e.b, s...) }
-
-func (e *enc) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-
-type dec struct {
-	b   []byte
-	off int
-	err error
-}
-
-var errShortBuffer = errors.New("short buffer")
-
-func (d *dec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.b)-d.off < n {
-		d.err = errShortBuffer
-		return nil
-	}
-	out := d.b[d.off : d.off+n]
-	d.off += n
-	return out
-}
-
-func (d *dec) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *dec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *dec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *dec) str() string {
-	n := int(d.u32())
-	if d.err != nil || n > len(d.b)-d.off {
-		if d.err == nil {
-			d.err = errShortBuffer
-		}
-		return ""
-	}
-	return string(d.take(n))
-}
-
-func (d *dec) bool() bool { return d.u8() != 0 }
-
-func fsyncFile(path string) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

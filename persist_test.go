@@ -19,7 +19,9 @@ import (
 	"testing"
 
 	"tuffy/internal/datagen"
+	"tuffy/internal/db/storage"
 	"tuffy/internal/mln"
+	"tuffy/internal/wal"
 )
 
 // openDurableIE opens (cold or warm) a durable engine over the small IE
@@ -199,8 +201,8 @@ func TestEngineCrashMatrix(t *testing.T) {
 // A torn WAL tail — the frame a crash cut short — must be truncated away,
 // recovering the state just before the torn update. After the abandoned
 // U2, the last synced frame in the log is deterministically U2's delta
-// record (the commit precedes the re-ground, whose page images stay
-// buffered), so corrupting the file's last byte tears exactly U2.
+// record (the log holds nothing but delta frames), so corrupting the
+// file's last byte tears exactly U2.
 func TestTornWALTailRecoversPreUpdate(t *testing.T) {
 	ds := ieSmall()
 	dir := t.TempDir()
@@ -236,6 +238,127 @@ func TestTornWALTailRecoversPreUpdate(t *testing.T) {
 		t.Fatalf("recovered generation %d, want %d", warm.Generation(), preGen)
 	}
 	requireSameMAP(t, "post-torn-tail MAP", mustMAP(t, warm, 7), preMAP)
+}
+
+// The log carries only delta frames: over committed updates that cross a
+// cadence checkpoint, it appends exactly one framed mln.EncodeDelta record
+// (17-byte frame header plus payload) and runs exactly one fsync per commit.
+func TestWALCarriesOnlyDeltaFrames(t *testing.T) {
+	ds := ieSmall()
+	eng := openDurableIE(t, ds, t.TempDir(), EngineConfig{CheckpointEveryUpdates: 3})
+	defer eng.Close()
+	if err := eng.Ground(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	predIdx := mln.PredIndex(ds.Prog)
+	const commits = 5
+	var want int64
+	for i := 0; i < commits; i++ {
+		d := datagen.RandomDelta(ds, "hint", 6, int64(30+i))
+		mustUpdate(t, eng, d)
+		want += 17 + int64(len(mln.EncodeDelta(predIdx, d)))
+	}
+	st := eng.DurabilityStats()
+	if st.Checkpoints < 2 {
+		t.Fatalf("%d checkpoints, want Ground's plus at least one cadence checkpoint", st.Checkpoints)
+	}
+	if st.WALAppendedBytes != want {
+		t.Fatalf("WAL appended %d bytes, want %d (delta frames only)", st.WALAppendedBytes, want)
+	}
+	if st.WALSyncs != commits {
+		t.Fatalf("WAL ran %d fsyncs, want one per commit (%d)", st.WALSyncs, commits)
+	}
+}
+
+// A DataDir whose log was written by an older version, with page-image
+// frames (type 1) between the delta frames, must still warm-start and
+// replay exactly the deltas.
+func TestWarmStartSkipsPageImageFrames(t *testing.T) {
+	ds := ieSmall()
+	dir := t.TempDir()
+	eng := openDurableIE(t, ds, dir, EngineConfig{})
+	if err := eng.Ground(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	u1 := datagen.RandomDelta(ds, "hint", 6, 51)
+	u2 := datagen.RandomDelta(ds, "hint", 6, 52)
+	log, recs, err := wal.Open(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 0 {
+		t.Fatalf("closed engine left %d log records", len(recs))
+	}
+	predIdx := mln.PredIndex(ds.Prog)
+	pageImage := make([]byte, 8+storage.PageSize) // file, page number, image
+	for _, payload := range [][]byte{pageImage, mln.EncodeDelta(predIdx, u1), pageImage, mln.EncodeDelta(predIdx, u2), pageImage} {
+		typ := byte(1)
+		if len(payload) != len(pageImage) {
+			typ = wal.TypeDelta
+		}
+		if _, err := log.Append(typ, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	warm := openDurableIE(t, ds, dir, EngineConfig{})
+	defer warm.Close()
+	st := warm.DurabilityStats()
+	if !st.WarmStart || st.ReplayedDeltas != 2 {
+		t.Fatalf("reopen: warm %v, replayed %d deltas, want a warm start replaying 2", st.WarmStart, st.ReplayedDeltas)
+	}
+	ref := groundedEngine(t, ds.Prog, ds.Ev.Clone(), EngineConfig{})
+	mustUpdate(t, ref, u1)
+	mustUpdate(t, ref, u2)
+	if warm.Generation() != ref.Generation() {
+		t.Fatalf("recovered generation %d, want %d", warm.Generation(), ref.Generation())
+	}
+	requireSameMAP(t, "replayed MAP", mustMAP(t, warm, 7), mustMAP(t, ref, 7))
+}
+
+// A DataDir whose wal.log was lost next to an intact snapshot must still
+// make the updates committed after the reopen durable: the fresh log's
+// LSNs may not fall at or below the ones the snapshot covers.
+func TestLostWALKeepsNewCommitsDurable(t *testing.T) {
+	ds := ieSmall()
+	dir := t.TempDir()
+	eng := openDurableIE(t, ds, dir, EngineConfig{})
+	if err := eng.Ground(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	u1 := datagen.RandomDelta(ds, "hint", 6, 61)
+	mustUpdate(t, eng, u1)
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "wal.log")); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened := openDurableIE(t, ds, dir, EngineConfig{})
+	u2 := datagen.RandomDelta(ds, "hint", 6, 62)
+	mustUpdate(t, reopened, u2)
+	// Abandon the engine without Close: only the log holds u2.
+
+	warm := openDurableIE(t, ds, dir, EngineConfig{})
+	defer warm.Close()
+	if st := warm.DurabilityStats(); st.ReplayedDeltas != 1 {
+		t.Fatalf("replayed %d deltas, want 1 (u2)", st.ReplayedDeltas)
+	}
+	ref := groundedEngine(t, ds.Prog, ds.Ev.Clone(), EngineConfig{})
+	mustUpdate(t, ref, u1)
+	mustUpdate(t, ref, u2)
+	if warm.Generation() != ref.Generation() {
+		t.Fatalf("recovered generation %d, want %d", warm.Generation(), ref.Generation())
+	}
+	requireSameMAP(t, "recovered MAP", mustMAP(t, warm, 7), mustMAP(t, ref, 7))
 }
 
 // A DataDir belongs to one program + base evidence: reopening it with a
